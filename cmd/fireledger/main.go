@@ -57,10 +57,6 @@ func main() {
 		gcWindow    = flag.Duration("group-commit-window", 0, "static delay per group-commit flush to grow batches (with -group-commit; overrides -group-commit-adaptive; 0 = batch only during in-flight fsyncs)")
 		gcAdaptive  = flag.Bool("group-commit-adaptive", false, "size the group-commit flush delay from the observed block arrival rate (with -group-commit)")
 		gcMaxWindow = flag.Duration("group-commit-max-window", 0, "cap on the adaptive group-commit flush delay (0 = store default)")
-		noBatchVer  = flag.Bool("no-batch-verify", false, "verify every signature individually instead of batching Ed25519 checks into multi-scalar combinations")
-		verBatchMax = flag.Int("verify-batch-max", 0, "cap on signatures per batched Ed25519 combination (0 = default)")
-		verMinWait  = flag.Duration("verify-min-wait", 0, "minimum batch-fill grace period per verification batch (0 = default)")
-		verMaxWait  = flag.Duration("verify-max-wait", 0, "maximum adaptive batch-fill wait per verification batch (0 = default)")
 		catchBatch  = flag.Int("catchup-batch", 64, "blocks per streaming catch-up batch; also the lag threshold that switches a node from per-round pulls to range sync")
 		snapEvery   = flag.Uint64("snapshot-every", 0, "checkpoint and compact the chain log every N definite rounds (requires -data; 0 disables)")
 		state       = flag.String("state", "", "queryable ledger state backend: 'map' (in-memory) or 'durable' (requires -data); empty serves no state reads")
@@ -127,10 +123,6 @@ func main() {
 		GroupCommitWindow:    *gcWindow,
 		GroupCommitAdaptive:  *gcAdaptive,
 		GroupCommitMaxWindow: *gcMaxWindow,
-		DisableBatchVerify:   *noBatchVer,
-		VerifyBatchMax:       *verBatchMax,
-		VerifyMinWait:        *verMinWait,
-		VerifyMaxWait:        *verMaxWait,
 		CatchUpBatch:         *catchBatch,
 		SnapshotEvery:        *snapEvery,
 		State:                backend,

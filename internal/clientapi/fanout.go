@@ -1,17 +1,19 @@
 package clientapi
 
-// The node-wide fan-out hub: one delivery tap, one encoding, and one bounded
-// frame ring shared by every subscriber of a server, in place of the
-// per-connection replay loop + private live buffer the server used when
-// subscribers numbered in the single digits.
+// The fan-out hub: one delivery tap, one encoding, and one bounded frame
+// ring shared by every subscriber of a server. It is the only block-streaming
+// engine: remote SUBSCRIBE streams share their server's hub, and each
+// in-process Blocks stream runs a private one (see Blocks).
 //
 // Architecture (three tiers per subscriber):
 //
 //   - live: the subscriber's cursor sits at the hub frontier. Every
-//     delivered block is marshaled into a BLOCK frame exactly once and the
-//     same []byte is handed to every live subscriber's send queue (frames
-//     are immutable after finishFrame, so sharing needs no refcount). A
-//     full send queue moves the subscriber to the lagging set — nothing in
+//     delivered block is marshaled into a BLOCK frame at most once — on the
+//     first offer to a subscriber that needs bytes — and the same []byte is
+//     handed to every remote subscriber's send queue (frames are immutable
+//     after finishFrame, so sharing needs no refcount); an in-process
+//     subscriber takes the decoded block and never causes an encode. A full
+//     send queue moves the subscriber to the lagging set — nothing in
 //     the live tier ever blocks, so one stalled subscriber cannot delay the
 //     others.
 //   - lagging: the cursor is behind the frontier but still inside the hub
@@ -40,9 +42,8 @@ import (
 	"repro/internal/types"
 )
 
-// hubRingCap bounds the shared frame ring (the node-wide replacement for the
-// per-connection liveBuffer): subscribers more than hubRingCap blocks behind
-// the frontier are served from their replay cohort instead.
+// hubRingCap bounds the shared frame ring: subscribers more than hubRingCap
+// blocks behind the frontier are served from their replay cohort instead.
 const hubRingCap = 1024
 
 // hubSegSize is the width, in merged positions, of one replay-cohort
@@ -52,11 +53,12 @@ const hubSegSize = 256
 
 // FanoutStats is a snapshot of a hub's counters (Server.Fanout).
 type FanoutStats struct {
-	// FramesEncoded / BytesEncoded count BLOCK frame marshals: one per
-	// delivered block at the hub, plus one per block a replay cohort reads
-	// below the ring. FramesShared / BytesSent count frame handoffs to
-	// subscriber send queues — with N live subscribers, BytesSent ≈
-	// N × BytesEncoded (the sharing ratio).
+	// FramesEncoded / BytesEncoded count BLOCK frame marshals: at most one
+	// per delivered block at the hub, plus one per block a replay cohort
+	// reads below the ring, and none for a block only in-process
+	// subscribers receive. FramesShared counts frame handoffs to subscriber
+	// queues; BytesSent counts the encoded bytes among them — with N live
+	// remote subscribers, BytesSent ≈ N × BytesEncoded (the sharing ratio).
 	FramesEncoded uint64
 	BytesEncoded  uint64
 	FramesShared  uint64
@@ -81,13 +83,15 @@ type FanoutStats struct {
 	Cohorts     int
 }
 
-// fanoutSink is one subscriber's delivery surface. TrySend must not block:
+// fanoutSink is one subscriber's delivery surface. TrySend offers the hub's
+// frame (worker plus decoded block) under the hub lock and must not block:
 // false parks the subscriber, and the hub retries from the shared ring (or
-// the subscriber's replay cohort) after Unpark. End reports a terminal
-// stream error (compacted cursor, read failure); the hub forgets the
-// subscriber before calling it.
+// the subscriber's replay cohort) after Unpark. A sink that ships bytes
+// takes the shared encoding with Hub.frameBytesLocked. End reports a
+// terminal stream error (compacted cursor, read failure); the hub forgets
+// the subscriber before calling it.
 type fanoutSink interface {
-	TrySend(frame []byte) bool
+	TrySend(h *Hub, f *hubFrame) bool
 	End(err error)
 }
 
@@ -115,13 +119,13 @@ type hubSub struct {
 	coh  *cohort
 }
 
-// hubFrame is one delivered block with its shared encoding and its lazily
-// built filter caches.
+// hubFrame is one delivered block with its lazily built shared encoding and
+// filter caches.
 type hubFrame struct {
 	pos    uint64
 	worker uint32
 	blk    types.Block
-	frame  []byte // shared BLOCK frame; nil until the first offer needs it
+	frame  []byte // shared BLOCK frame; nil until a sink first needs bytes
 
 	// Filter caches, built under Hub.mu on first use: clients answers
 	// client-id-only filters in O(1) per subscriber, verdicts memoizes every
@@ -168,9 +172,10 @@ type HubConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Hub is the node-wide fan-out engine behind a Server's SUBSCRIBE streams:
-// one SubscribeDeliver tap, each BLOCK frame encoded once and shared across
-// every subscriber, cold subscribers grouped into shared replay cohorts.
+// Hub is the fan-out engine behind a Server's SUBSCRIBE streams and every
+// in-process Blocks stream: one SubscribeDeliver tap, each BLOCK frame
+// encoded at most once and shared across every remote subscriber, cold
+// subscribers grouped into shared replay cohorts.
 type Hub struct {
 	node    Node
 	workers int
@@ -235,7 +240,7 @@ func NewHub(node Node, cfg HubConfig) *Hub {
 
 // Close detaches the delivery tap and stops the pump and every cohort.
 // Active subscribers are forgotten without a terminal frame (their
-// connections are being torn down alongside).
+// connections or streams are being torn down alongside).
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -311,8 +316,8 @@ func (h *Hub) Unsubscribe(sub *hubSub) {
 	h.mu.Unlock()
 }
 
-// Unpark tells the hub that sub's connection drained its send queue: frames
-// the subscriber missed while parked are worth retrying. Cheap when the
+// Unpark tells the hub that sub's sink drained its queue: frames the
+// subscriber missed while parked are worth retrying. Cheap when the
 // subscriber is not parked (one atomic load).
 func (h *Hub) Unpark(sub *hubSub) {
 	if sub == nil || !sub.parked.Load() {
@@ -419,7 +424,8 @@ func (h *Hub) donateCacheLocked(c *cohort) {
 }
 
 // frameBytesLocked returns the frame's shared encoding, marshaling it on
-// first use (once per block, however many subscribers receive it).
+// first use (once per block, however many subscribers receive it). Only
+// sinks that ship bytes call it.
 func (h *Hub) frameBytesLocked(f *hubFrame) []byte {
 	if f.frame == nil {
 		f.frame = marshalBlock(blockMsg{Worker: f.worker, Block: f.blk})
@@ -438,14 +444,15 @@ func (h *Hub) offerLocked(sub *hubSub, f *hubFrame) {
 		h.blocksFiltered.Add(1)
 		return
 	}
-	frame := h.frameBytesLocked(f)
-	if sub.sink.TrySend(frame) {
+	// Park before offering: a sink that drains right after refusing calls
+	// Unpark, which must already see the flag or the retry is lost.
+	sub.parked.Store(true)
+	if sub.sink.TrySend(h, f) {
+		sub.parked.Store(false)
 		sub.pos++
 		h.framesShared.Add(1)
-		h.bytesSent.Add(uint64(len(frame)))
 		return
 	}
-	sub.parked.Store(true)
 	if sub.tier == tierLive {
 		delete(h.live, sub)
 		h.lagging[sub] = struct{}{}
@@ -484,8 +491,8 @@ func (h *Hub) catchUpLocked(sub *hubSub) {
 // It runs on the delivery goroutine: append to the ring and wake the pump
 // and the cohorts (the frontier moved) — never block, and never encode.
 // The BLOCK frame is marshaled lazily by frameBytesLocked on the first
-// offer (pump or cohort goroutine), so a node with no subscribers pays
-// nothing per delivery beyond a ring append.
+// offer to a remote subscriber (pump or cohort goroutine), so a hub with no
+// remote subscribers pays nothing per delivery beyond a ring append.
 func (h *Hub) onDeliver(w uint32, blk types.Block) {
 	pos := (blk.Signed.Header.Round-1)*uint64(h.workers) + uint64(w)
 	hf := &hubFrame{pos: pos, worker: w, blk: blk}

@@ -623,7 +623,14 @@ func (c *serverConn) serveWatch(m watchMsg) {
 // connection (unsubscribe / replacement) detaches it first.
 type connSink struct{ c *serverConn }
 
-func (s *connSink) TrySend(frame []byte) bool { return s.c.tryEnqueueStream(frame) }
+func (s *connSink) TrySend(h *Hub, f *hubFrame) bool {
+	frame := h.frameBytesLocked(f)
+	if !s.c.tryEnqueueStream(frame) {
+		return false
+	}
+	h.bytesSent.Add(uint64(len(frame)))
+	return true
+}
 
 func (s *connSink) End(err error) { s.c.streamEnded(s, err) }
 

@@ -2,8 +2,6 @@ package clientapi
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/flcrypto"
@@ -36,36 +34,6 @@ type Node interface {
 // replayBatch is how many blocks one historical read fetches per worker.
 const replayBatch = 64
 
-// liveBufCap bounds the live-tail buffer that bridges replay and the
-// delivery stream. A consumer that cannot keep up with live block
-// production overflows it and is sent back to replay (which paces reads to
-// the consumer) instead of stalling the node's delivery path.
-const liveBufCap = 1024
-
-// errFellBehind is the internal signal that the live tail cannot continue —
-// the buffer overflowed or the tail showed a gap — and the stream must
-// re-enter replay at its cursor. The concrete value is a fellBehindError
-// carrying which of the two cases fired (they are operationally identical —
-// both resume from replay — but diagnostically distinct: overflow means the
-// consumer is slow, a gap means the delivery tail skipped past the cursor).
-var errFellBehind = errors.New("clientapi: live tail fell behind; resuming from replay")
-
-// fellBehindError is the typed errFellBehind: errors.Is-compatible, plus the
-// positions that distinguish a buffer overflow from a genuine tail gap.
-type fellBehindError struct {
-	gap        bool   // true: tail gap; false: live buffer overflow
-	evPos, pos uint64 // gap case: the event seen vs. the cursor expected
-}
-
-func (e *fellBehindError) Error() string {
-	if e.gap {
-		return fmt.Sprintf("clientapi: live tail gap (event at merged pos %d, cursor at %d); resuming from replay", e.evPos, e.pos)
-	}
-	return "clientapi: live buffer overflowed (slow consumer); resuming from replay"
-}
-
-func (e *fellBehindError) Is(target error) bool { return target == errFellBehind }
-
 // StreamOption narrows a block subscription with a server-side filter
 // (wire protocol 1.3). Options combine conjunctively: every set condition
 // must hold on the same transaction for a block to be delivered.
@@ -92,204 +60,107 @@ func BuildFilter(opts ...StreamOption) Filter {
 	return f
 }
 
-// StreamConfig tunes StreamWith beyond the cursor.
-type StreamConfig struct {
-	// Filter suppresses non-matching blocks (delivered blocks carry at least
-	// one matching transaction). The cursor still advances over suppressed
-	// blocks, so resume arithmetic is unchanged. Zero value: no filtering.
-	Filter Filter
-	// Logf, when set, receives stream diagnostics (currently: the first
-	// genuine live-tail gap, with positions). Nil discards them.
-	Logf func(format string, args ...any)
+// inprocQueueCap bounds an in-process stream's sink queue and its event
+// channel. A reader that falls this far behind is parked at the hub and
+// served from the shared ring or a replay cohort once it drains, exactly
+// like a remote subscriber whose send queue filled.
+const inprocQueueCap = 256
+
+// Blocks streams node's merged definite block sequence from cur — every
+// block in merged order that matches flt, each exactly once — through a
+// private fan-out Hub: the in-process counterpart of a remote SUBSCRIBE.
+// The stream, and its hub, end when ctx does. An abnormal end — a cursor
+// worker out of range, a read failure, or a cursor below retained history
+// (errors.Is ErrCompacted) — arrives as a final BlockEvent{Err} before the
+// channel closes.
+func Blocks(ctx context.Context, node Node, cur Cursor, flt Filter) <-chan BlockEvent {
+	h := NewHub(node, HubConfig{})
+	out := make(chan BlockEvent, inprocQueueCap)
+	go func() {
+		defer close(out)
+		defer h.Close()
+		h.stream(ctx, cur, flt, out)
+	}()
+	return out
 }
 
-// Stream delivers the merged definite stream from cursor cur, calling emit
-// for every block in merged order — each exactly once, no gaps. See
-// StreamWith; Stream is the unfiltered form.
-func Stream(ctx context.Context, node Node, cur Cursor, emit func(worker uint32, blk types.Block) error) error {
-	return StreamWith(ctx, node, cur, StreamConfig{}, emit)
-}
-
-// StreamWith delivers the merged definite stream from cursor cur, calling
-// emit for every block in merged order that matches cfg.Filter — each
-// exactly once, no gaps among matching blocks. The historical prefix below
-// the definite frontier is replayed from the node's log (Node.ReadDefinite);
-// the stream then follows the live delivery tail, falling back to replay
-// whenever the consumer cannot keep up. StreamWith returns when ctx ends,
-// when emit returns an error (which it propagates), or when the cursor
-// predates retained history (ErrCompacted from the store). It never returns
-// nil.
-//
-// emit may block: backpressure propagates to replay pacing, never to the
-// node's delivery goroutine (live deliveries land in a bounded buffer).
-func StreamWith(ctx context.Context, node Node, cur Cursor, cfg StreamConfig, emit func(worker uint32, blk types.Block) error) error {
-	workers := node.Workers()
-	if int(cur.Worker) >= workers {
-		return fmt.Errorf("clientapi: cursor worker %d out of range (ω=%d)", cur.Worker, workers)
+// stream subscribes an in-process sink at h from cur and forwards its
+// events to out until ctx ends or the hub ends the subscription.
+func (h *Hub) stream(ctx context.Context, cur Cursor, flt Filter, out chan<- BlockEvent) {
+	s := &chanSink{wake: make(chan struct{}, 1)}
+	sub, err := h.Subscribe(cur, flt, s)
+	if err != nil {
+		s.End(err)
+	} else {
+		defer h.Unsubscribe(sub)
 	}
-	pos := cur.pos(workers)
-	gapLogged := false
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Attach the live buffer before replaying: everything delivered
-		// from this instant is either replayed (if it became readable in
-		// time) or buffered, so the switchover cannot lose a block.
-		lb := newLiveBuffer()
-		cancel := node.SubscribeDeliver(lb.push)
-		err := func() error {
-			if err := replay(ctx, node, workers, &pos, cfg.Filter, emit); err != nil {
-				return err
+		s.mu.Lock()
+		batch, endErr := s.queue, s.err
+		s.queue = nil
+		s.mu.Unlock()
+		for _, ev := range batch {
+			select {
+			case out <- ev:
+			case <-ctx.Done():
+				return
 			}
-			return follow(ctx, workers, &pos, lb, cfg.Filter, emit)
-		}()
-		cancel()
-		var fb *fellBehindError
-		if errors.As(err, &fb) {
-			if fb.gap && !gapLogged && cfg.Logf != nil {
-				// A gap is rare (the delivery tail announced a block past the
-				// cursor without the one at it): log the first occurrence with
-				// positions so it is distinguishable from routine slow-consumer
-				// overflows; replay re-reads and re-verifies the missed range.
-				cfg.Logf("%v", fb)
-				gapLogged = true
-			}
-			continue // re-replay from the current cursor
 		}
-		return err
-	}
-}
-
-// replay emits definite blocks in merged order starting at *pos until the
-// definite frontier is reached (the next block in merged order is not yet
-// definite). Per-worker reads are batched so a W-worker replay costs
-// O(blocks/replayBatch) historical reads, not one per block. Blocks the
-// filter suppresses still advance the cursor.
-func replay(ctx context.Context, node Node, workers int, pos *uint64, flt Filter, emit func(uint32, types.Block) error) error {
-	queues := make([][]types.Block, workers)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		w := uint32(*pos % uint64(workers))
-		r := *pos/uint64(workers) + 1
-		if len(queues[w]) == 0 {
-			blocks, err := node.ReadDefinite(w, r, replayBatch)
-			if err != nil {
-				return err
-			}
-			if len(blocks) == 0 {
-				return nil // frontier: the live tail takes over
-			}
-			queues[w] = blocks
-		}
-		blk := queues[w][0]
-		if got := blk.Signed.Header.Round; got != r {
-			return fmt.Errorf("clientapi: replay expected worker %d round %d, source yielded %d", w, r, got)
-		}
-		queues[w] = queues[w][1:]
-		if !flt.MatchBlock(&blk.Body) {
-			*pos++
+		if len(batch) > 0 {
+			h.Unpark(sub) // the queue drained: retry what the hub parked
 			continue
 		}
-		if err := emit(w, blk); err != nil {
-			return err
-		}
-		*pos++
-	}
-}
-
-// follow drains the live buffer, emitting the events at *pos and skipping
-// those replay already covered. It returns a fellBehindError — sending the
-// stream back to replay — in two distinct cases: the buffer overflowed (slow
-// consumer), or the tail showed a genuine gap (an event past *pos arrived
-// while the event at *pos was neither buffered nor readable during replay —
-// a delivery that slipped between the log read and the buffer attach).
-func follow(ctx context.Context, workers int, pos *uint64, lb *liveBuffer, flt Filter, emit func(uint32, types.Block) error) error {
-	for {
-		ev, err := lb.pop(ctx)
-		if err != nil {
-			return err
-		}
-		evPos := (ev.round-1)*uint64(workers) + uint64(ev.worker)
-		if evPos < *pos {
-			continue // replay already emitted it
-		}
-		if evPos > *pos {
-			return &fellBehindError{gap: true, evPos: evPos, pos: *pos}
-		}
-		if !flt.MatchBlock(&ev.blk.Body) {
-			*pos++
-			continue
-		}
-		if err := emit(ev.worker, ev.blk); err != nil {
-			return err
-		}
-		*pos++
-	}
-}
-
-// liveEvent is one buffered delivery.
-type liveEvent struct {
-	worker uint32
-	round  uint64
-	blk    types.Block
-}
-
-// liveBuffer decouples the node's synchronous delivery path from a stream
-// consumer: push never blocks (overflow flips a flag instead), pop blocks
-// the consumer until an event, overflow, or ctx end.
-type liveBuffer struct {
-	mu       sync.Mutex
-	buf      []liveEvent
-	overflow bool
-	wake     chan struct{}
-}
-
-func newLiveBuffer() *liveBuffer {
-	return &liveBuffer{wake: make(chan struct{}, 1)}
-}
-
-// push is the SubscribeDeliver callback; it must not block.
-func (b *liveBuffer) push(w uint32, blk types.Block) {
-	b.mu.Lock()
-	if !b.overflow {
-		if len(b.buf) >= liveBufCap {
-			b.overflow = true
-			b.buf = nil // the run is broken; replay will re-read it
-		} else {
-			b.buf = append(b.buf, liveEvent{worker: w, round: blk.Signed.Header.Round, blk: blk})
-		}
-	}
-	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
-// pop returns the oldest buffered event, blocking until one arrives. It
-// returns the overflow form of fellBehindError once the buffer has
-// overflowed and drained.
-func (b *liveBuffer) pop(ctx context.Context) (liveEvent, error) {
-	for {
-		b.mu.Lock()
-		if len(b.buf) > 0 {
-			ev := b.buf[0]
-			b.buf = b.buf[1:]
-			b.mu.Unlock()
-			return ev, nil
-		}
-		overflow := b.overflow
-		b.mu.Unlock()
-		if overflow {
-			return liveEvent{}, &fellBehindError{gap: false}
+		if endErr != nil {
+			// The terminal error is a contract signal (ErrCompacted means
+			// the consumer has a gap), so it waits for the consumer rather
+			// than being dropped by a full channel.
+			select {
+			case out <- BlockEvent{Err: endErr}:
+			case <-ctx.Done():
+			}
+			return
 		}
 		select {
+		case <-s.wake:
 		case <-ctx.Done():
-			return liveEvent{}, ctx.Err()
-		case <-b.wake:
+			return
 		}
+	}
+}
+
+// chanSink is the in-process subscriber's delivery surface: a bounded
+// queue the hub fills without blocking and one forwarder (Hub.stream)
+// drains. It takes the decoded block straight from the hub frame and never
+// asks for the wire encoding.
+type chanSink struct {
+	mu    sync.Mutex
+	queue []BlockEvent
+	err   error // terminal; set by End
+	wake  chan struct{}
+}
+
+func (s *chanSink) TrySend(_ *Hub, f *hubFrame) bool {
+	s.mu.Lock()
+	if len(s.queue) >= inprocQueueCap {
+		s.mu.Unlock()
+		return false
+	}
+	s.queue = append(s.queue, BlockEvent{Worker: f.worker, Block: f.blk})
+	s.mu.Unlock()
+	s.signal()
+	return true
+}
+
+func (s *chanSink) End(err error) {
+	s.mu.Lock()
+	s.err = err
+	s.mu.Unlock()
+	s.signal()
+}
+
+func (s *chanSink) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
 }

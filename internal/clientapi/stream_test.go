@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 )
 
 // fakeNode implements Node over a real store.BlockLog (single worker): the
-// deterministic harness for the cursor-replay engine. Tests drive the
+// deterministic harness for the block-streaming engine. Tests drive the
 // "cluster" by appending blocks and announcing them to subscribers — so a
 // replay-vs-live race never depends on consensus timing.
 type fakeNode struct {
@@ -174,35 +175,26 @@ func TestStreamReplayAcrossCompaction(t *testing.T) {
 	node := newFakeNode(t, log)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	got := make(chan types.Block, 64)
-	streamErr := make(chan error, 1)
-	go func() {
-		streamErr <- Stream(ctx, node, Cursor{Worker: 0, Round: 23}, func(_ uint32, blk types.Block) error {
-			got <- blk
-			return nil
-		})
-	}()
+	events := Blocks(ctx, node, Cursor{Worker: 0, Round: 23}, Filter{})
 
 	next := uint64(23)
-	recv := func(why string) types.Block {
+	recv := func(why string) {
 		t.Helper()
 		select {
-		case blk := <-got:
-			if r := blk.Signed.Header.Round; r != next {
+		case ev, ok := <-events:
+			if !ok || ev.Err != nil {
+				t.Fatalf("%s: stream ended early: %v", why, ev.Err)
+			}
+			if r := ev.Block.Signed.Header.Round; r != next {
 				t.Fatalf("%s: got round %d, want %d (gap or duplicate)", why, r, next)
 			}
-			if blk.Hash() != blocks[next-1].Hash() {
+			if ev.Block.Hash() != blocks[next-1].Hash() {
 				t.Fatalf("%s: round %d content mismatch", why, next)
 			}
 			next++
-			return blk
-		case err := <-streamErr:
-			t.Fatalf("%s: stream ended early: %v", why, err)
 		case <-ctx.Done():
 			t.Fatalf("%s: timed out waiting for round %d", why, next)
 		}
-		panic("unreachable")
 	}
 
 	// Historical suffix 23..30 from the compacted log.
@@ -217,13 +209,18 @@ func TestStreamReplayAcrossCompaction(t *testing.T) {
 		recv("live tail")
 	}
 	cancel()
-	if err := <-streamErr; !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stream end: %v", err)
+	for ev := range events {
+		if ev.Err != nil {
+			t.Fatalf("canceled stream ended with %v", ev.Err)
+		}
+		t.Fatalf("extra block after round 40: round %d", ev.Block.Signed.Header.Round)
 	}
 }
 
 // TestStreamCursorBelowRetainedHistory: a cursor at or below the compaction
-// base cannot be served and must fail loudly, not stream a gapped history.
+// base cannot be served and must fail loudly with the typed error, not
+// stream a gapped history; a cursor naming a worker the node does not run
+// fails the same way it does on a remote session.
 func TestStreamCursorBelowRetainedHistory(t *testing.T) {
 	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
 	dir := t.TempDir()
@@ -244,9 +241,27 @@ func TestStreamCursorBelowRetainedHistory(t *testing.T) {
 	node := newFakeNode(t, log)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err = Stream(ctx, node, Cursor{Worker: 0, Round: 5}, func(uint32, types.Block) error { return nil })
-	if !errors.Is(err, store.ErrCompacted) {
-		t.Fatalf("stream below base returned %v, want ErrCompacted", err)
+	terminal := func(cur Cursor) error {
+		t.Helper()
+		var last error
+		n := 0
+		for ev := range Blocks(ctx, node, cur, Filter{}) {
+			if ev.Err == nil {
+				t.Fatalf("cursor %+v: got a block (round %d)", cur, ev.Block.Signed.Header.Round)
+			}
+			last = ev.Err
+			n++
+		}
+		if n != 1 {
+			t.Fatalf("cursor %+v: %d terminal events, want 1", cur, n)
+		}
+		return last
+	}
+	if err := terminal(Cursor{Worker: 0, Round: 5}); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("stream below base ended with %v, want ErrCompacted", err)
+	}
+	if err := terminal(Cursor{Worker: 3, Round: 1}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("stream from worker 3 of ω=1 ended with %v, want out of range", err)
 	}
 }
 
@@ -305,10 +320,11 @@ func TestRemoteCursorBelowRetainedHistoryTyped(t *testing.T) {
 	}
 }
 
-// TestStreamSlowConsumerFallsBackToReplay: a consumer slower than block
-// production must overflow the live buffer and be served from replay (at
-// its own pace) rather than stall the delivery path — and still observe
-// every block exactly once.
+// TestStreamSlowConsumerFallsBackToReplay: an in-process reader that
+// stalls while more than the hub ring's worth of blocks is delivered is
+// parked, demoted to cohort replay, and served from the log at its own pace
+// once it drains — the delivery path never blocks, every block arrives
+// exactly once, and no block is ever encoded for the wire.
 func TestStreamSlowConsumerFallsBackToReplay(t *testing.T) {
 	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
 	log, _, err := store.Open(filepath.Join(t.TempDir(), "w0.log"), store.Options{Registry: ks.Registry, Instance: 0})
@@ -316,54 +332,81 @@ func TestStreamSlowConsumerFallsBackToReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	total := liveBufCap + 200
+	// Beyond the ring plus everything the stream itself buffers (sink
+	// queue, the forwarder's batch, the event channel).
+	total := hubRingCap + 3*inprocQueueCap + 200
 	blocks := buildChainBlocks(t, ks, total)
 
 	node := newFakeNode(t, log)
+	// Closed only on success: a hub whose delivery path blocked cannot
+	// close, and the test must fail rather than hang.
+	hub := NewHub(node, HubConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	gate := make(chan struct{})
-	events := make(chan types.Block, total)
-	done := make(chan error, 1)
+	events := make(chan BlockEvent, inprocQueueCap)
 	go func() {
-		done <- Stream(ctx, node, Cursor{}, func(_ uint32, blk types.Block) error {
-			<-gate // consumer paced by the test
-			events <- blk
-			return nil
-		})
+		defer close(events)
+		hub.stream(ctx, Cursor{}, Filter{}, events)
 	}()
 
-	// Deliver one block to park the stream on the live tail, let the
-	// consumer take it, then flood more than liveBufCap while it is stuck.
-	node.deliver(blocks[0])
-	gate <- struct{}{}
-	for _, blk := range blocks[1:] {
-		node.deliver(blk) // must never block: delivery-path contract
-	}
-	for i := 1; i < total; i++ {
+	next := uint64(1)
+	recv := func() {
+		t.Helper()
 		select {
-		case gate <- struct{}{}:
-		case err := <-done:
-			t.Fatalf("stream died after %d blocks: %v", i, err)
-		case <-ctx.Done():
-			t.Fatalf("timed out unblocking consumer at block %d", i)
-		}
-	}
-	for i := 0; i < total; i++ {
-		select {
-		case blk := <-events:
-			if blk.Signed.Header.Round != uint64(i+1) {
-				t.Fatalf("position %d holds round %d (gap or duplicate)", i, blk.Signed.Header.Round)
+		case ev, ok := <-events:
+			if !ok || ev.Err != nil {
+				t.Fatalf("stream ended at round %d/%d: %v", next, total, ev.Err)
 			}
-		case err := <-done:
-			t.Fatalf("stream ended with %d/%d blocks: %v", i, total, err)
+			if r := ev.Block.Signed.Header.Round; r != next {
+				t.Fatalf("got round %d, want %d (gap or duplicate)", r, next)
+			}
+			next++
 		case <-ctx.Done():
-			t.Fatalf("timed out at block %d/%d", i, total)
+			t.Fatalf("timed out at round %d/%d", next, total)
 		}
+	}
+
+	// One block puts the stream on the live tail (the cohort that served
+	// the empty history promotes it); then the reader stalls while the rest
+	// floods in.
+	node.deliver(blocks[0])
+	recv()
+	for hub.Stats().LiveSubs != 1 {
+		select {
+		case <-ctx.Done():
+			t.Fatal("stream never reached the live tier")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	flooded := make(chan struct{})
+	go func() {
+		for _, blk := range blocks[1:] {
+			node.deliver(blk)
+		}
+		close(flooded)
+	}()
+	select {
+	case <-flooded:
+	case <-time.After(30 * time.Second):
+		t.Fatal("delivery blocked on a stalled in-process reader")
+	}
+	for next <= uint64(total) {
+		recv()
+	}
+	select {
+	case ev := <-events:
+		t.Fatalf("extra event after the last block: %+v", ev)
+	case <-time.After(100 * time.Millisecond):
+	}
+	st := hub.Stats()
+	if st.Demotions == 0 || st.CohortReplays == 0 {
+		t.Fatalf("stalled reader was never demoted to replay: %+v", st)
+	}
+	if st.FramesEncoded != 0 {
+		t.Fatalf("in-process subscribers caused %d frame encodes, want 0", st.FramesEncoded)
 	}
 	cancel()
-	<-done
+	hub.Close()
 }
 
 // TestCursorArithmetic pins the merged-order cursor algebra the protocol's

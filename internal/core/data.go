@@ -816,10 +816,16 @@ func (dp *dataPath) requestBlock(round uint64) {
 }
 
 // fetchBlock retrieves the definite block at round from peers, for recovery
-// catch-up. Returns false if aborted.
+// catch-up. Returns false if aborted, or once the chain no longer needs the
+// block: a snapshot install that jumped the chain past round while the
+// fetch waited leaves a round every peer may have compacted away, so
+// waiting on it would park the round loop forever.
 func (dp *dataPath) fetchBlock(round uint64, abort <-chan struct{}) (types.Block, bool) {
 	interval := 20 * time.Millisecond
 	for {
+		if dp.chain.Tip() >= round {
+			return types.Block{}, false
+		}
 		dp.mu.Lock()
 		blk, ok := dp.fetched[round]
 		ch := dp.update

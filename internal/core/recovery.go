@@ -318,6 +318,9 @@ func (rt *recoveryTracker) runRecovery(proof Proof) bool {
 
 	// Catch up to the anchor if we are behind: blocks below r−(f+1) are
 	// agreed (Lemma 5.3.4), so they can be fetched from any correct node.
+	// A snapshot install that lands meanwhile ends the fetch; abandoning
+	// here is pre-adoption (see below), and the round loop resumes from the
+	// installed base.
 	if start >= 2 {
 		for in.chain.Tip() < start-1 {
 			next := in.chain.Tip() + 1

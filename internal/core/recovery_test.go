@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/flcrypto"
 	"repro/internal/obbc"
@@ -258,5 +259,38 @@ func TestDecodeVersionMsgOversizedCountPoisons(t *testing.T) {
 	in.rec.mu.Unlock()
 	if got != 0 {
 		t.Fatal("oversized version accepted into recovery state")
+	}
+}
+
+// TestFetchBlockEndsWhenChainPassesRound: recovery catch-up fetches a round
+// that no peer serves (every peer compacted it away). A snapshot install
+// that moves the chain past that round must end the fetch, or the round
+// loop stays parked in it for good.
+func TestFetchBlockEndsWhenChainPassesRound(t *testing.T) {
+	ks := testKeySet(t, 4)
+	net := transport.NewChanNetwork(transport.ChanConfig{N: 4})
+	t.Cleanup(net.Close)
+	chain := NewChain(0)
+	dp, _, _ := newTestDataPath(t, net, ks, 0, chain, 8)
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := dp.fetchBlock(10, nil)
+		done <- ok
+	}()
+	select {
+	case <-done:
+		t.Fatal("fetch of an unserved round returned before the chain moved")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := chain.ResetForward(20, flcrypto.Hash{1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("fetch returned a block for a round nobody served")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fetch still waiting after the chain moved past its round")
 	}
 }

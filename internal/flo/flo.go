@@ -56,30 +56,16 @@ type Config struct {
 	Priv     flcrypto.PrivateKey
 	// VerifyPool is the node's shared signature-verification pool (parallel
 	// workers plus a dedup cache; see flcrypto.VerifyPool), threaded down to
-	// every protocol service. Nil creates a GOMAXPROCS-sized pool owned (and
-	// closed) by the node — set SyncVerify to opt out entirely.
+	// every protocol service. Nil creates a pool with the default batching
+	// knobs, owned (and closed) by the node — set SyncVerify to opt out
+	// entirely. A caller that needs other knobs (an ablation without
+	// batching, wider batch-fill waits) builds the pool with
+	// flcrypto.NewVerifyPoolOpts and closes it after Stop.
 	VerifyPool *flcrypto.VerifyPool
 	// SyncVerify disables the asynchronous verification pipeline: every
 	// signature is checked inline and uncached where it arrives. The
 	// deterministic escape hatch for tests and debugging.
 	SyncVerify bool
-	// DisableBatchVerify makes the node-owned verify pool check every
-	// signature individually instead of batching queued requests into
-	// multi-scalar Ed25519 combinations (flcrypto batch verification). An
-	// ablation/debug switch; ignored when VerifyPool is supplied (that pool
-	// carries its own batching configuration).
-	DisableBatchVerify bool
-	// VerifyBatchMax caps signatures per batch combination of the node-owned
-	// pool (default flcrypto.DefaultBatchMax). Ignored with VerifyPool set.
-	VerifyBatchMax int
-	// VerifyMinWait and VerifyMaxWait override the node-owned pool's
-	// adaptive batch-fill pacing: a worker holding a partial batch waits at
-	// least VerifyMinWait and at most VerifyMaxWait for more arrivals, the
-	// point in between chosen from the observed request rate (see
-	// flcrypto.PoolOptions). Zero keeps the defaults; ignored with
-	// VerifyPool set.
-	VerifyMinWait time.Duration
-	VerifyMaxWait time.Duration
 	// Workers is the paper's ω (default 1).
 	Workers int
 	// BatchSize is the paper's β (default 100).
@@ -96,7 +82,9 @@ type Config struct {
 	// nodes stranded below every peer's retained history; see
 	// core/snapsync.go). The worker's merged delivery stream resumes at
 	// base+1: rounds at or below base are covered by the installed state
-	// and are never delivered as blocks on this node. May be nil.
+	// and are never delivered as blocks on this node. It runs with merged
+	// delivery paused, before any block above base is delivered, so it must
+	// not wait on a delivery. May be nil.
 	OnSnapshotInstall func(worker uint32, base uint64)
 	// OnEvent receives per-worker lifecycle events (Fig 9). May be nil.
 	OnEvent func(worker uint32, round uint64, ev core.Event)
@@ -153,42 +141,21 @@ type Config struct {
 	// after a donor failure at the cost of more round trips.
 	SnapChunkBytes int
 	// SnapshotEvery, with DataDir, checkpoints each worker every
-	// SnapshotEvery definite rounds: a snapshot (chain anchor + optional
-	// application state) is written next to the log and the log prefix is
-	// truncated, so restart replay reads only the post-snapshot suffix —
-	// O(delta), not O(history). 0 disables compaction.
+	// SnapshotEvery definite rounds: a snapshot (chain anchor plus, with
+	// State, the replica's state) is written next to the log and the log
+	// prefix is truncated, so restart replay reads only the post-snapshot
+	// suffix — O(delta), not O(history). 0 disables compaction.
 	SnapshotEvery uint64
-	// SnapshotState, when set with SnapshotEvery, supplies the opaque
-	// application checkpoint stored in every worker's snapshots (e.g. a
-	// statemachine Replica snapshot, which embeds its own merged-stream
-	// cursor). It is called at the merge point — on the delivery goroutine,
-	// right after the block completing a checkpoint cycle was delivered —
-	// so the captured state reflects exactly the merged prefix delivered so
-	// far; each worker's snapshot records that worker's last delivered
-	// round as its StateRound. Works with any ω: the merged delivery
-	// position is an explicit (worker, round) cursor carried in the
-	// application state, not a function of one worker's round.
-	SnapshotState func() []byte
-	// RestoreState is invoked once during NewNode when DataDir held at
-	// least one worker snapshot: state is the freshest application
-	// checkpoint found across workers (nil when snapshots were captured
-	// without SnapshotState), and blocks are the replayed post-snapshot
-	// rounds of every worker — sorted in merged (round, worker) order, each
-	// carrying its worker in Signed.Header.Instance — that the application
-	// must re-apply to reach the chain tips. An idempotent applier
-	// (statemachine.Replica) simply re-delivers all of them; the ones the
-	// checkpoint already covers are skipped by position.
-	RestoreState func(state []byte, blocks []types.Block)
 	// State, when set, makes the node maintain a queryable ledger replica:
 	// the merged definite stream is applied to this backend (before Deliver
 	// and subscribers see each block), and the node serves point gets,
 	// ordered range scans, and key watches from it — anchored to commit
 	// receipts via StateGet/StateScan/StateWatch. With DataDir and
-	// SnapshotEvery the replica's snapshot automatically rides in the worker
-	// checkpoints and is restored (plus replayed-block re-delivery) on
-	// restart, so State is mutually exclusive with the lower-level
-	// SnapshotState/RestoreState hooks. The node does not close the backend;
-	// its owner does, after Stop.
+	// SnapshotEvery the replica's snapshot rides in the worker checkpoints:
+	// it is captured at the merge point, right after the block completing a
+	// checkpoint cycle was delivered, and restored (plus replayed-block
+	// re-delivery) on restart. The node does not close the backend; its
+	// owner does, after Stop.
 	State statemachine.StateBackend
 	// EnableEvidence activates the accountability path: each worker keeps
 	// an evidence pool, records equivocation proofs it observes, and embeds
@@ -261,7 +228,8 @@ type Node struct {
 	// second hashed choice (power of two choices).
 	overload int
 
-	// Restore accumulation during NewNode (cleared after RestoreState).
+	// Restore accumulation during NewNode (cleared after the replica's
+	// restore).
 	restoreBest   *store.Snapshot
 	restoreFound  bool
 	restoreBlocks []types.Block
@@ -270,8 +238,7 @@ type Node struct {
 	// applied to and reads are served from. Assigned during NewNode (and
 	// replaced at most once by the restore path, before Start), read-only
 	// afterwards.
-	stateRep     *statemachine.Replica
-	stateManaged bool
+	stateRep *statemachine.Replica
 
 	subMu     sync.RWMutex
 	subs      []deliverSub
@@ -362,17 +329,10 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 100
 	}
-	if cfg.State != nil && (cfg.SnapshotState != nil || cfg.RestoreState != nil) {
-		return nil, fmt.Errorf("flo: Config.State is mutually exclusive with SnapshotState/RestoreState")
-	}
 	n := &Node{cfg: cfg, id: cfg.Endpoint.ID(), mux: transport.NewMux(cfg.Endpoint)}
 	n.overload = 4 * cfg.BatchSize
 	if cfg.State != nil {
-		n.stateManaged = true
 		n.stateRep = statemachine.NewReplicaWith(cfg.State)
-		// Checkpoints capture the managed replica; maybeCheckpoint keys off
-		// n.cfg.SnapshotState, so install the capture there.
-		n.cfg.SnapshotState = func() []byte { return n.stateRep.Snapshot() }
 	}
 	if cfg.DataDir != "" && cfg.SnapshotEvery > 0 {
 		// Checkpoint cadence: a full merge cycle crossing the boundary
@@ -386,12 +346,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if !cfg.SyncVerify {
 		n.verify = cfg.VerifyPool
 		if n.verify == nil {
-			n.verify = flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{
-				BatchMax:     cfg.VerifyBatchMax,
-				MinBatchWait: cfg.VerifyMinWait,
-				MaxBatchWait: cfg.VerifyMaxWait,
-				DisableBatch: cfg.DisableBatchVerify,
-			})
+			n.verify = flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{})
 			n.ownVerify = true
 		}
 	}
@@ -432,7 +387,7 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 	}
 	if n.restoreFound {
-		// One unified restore across workers: hand the application the
+		// One unified restore across workers: rebuild the replica from the
 		// freshest checkpoint found (snapshots written in the same capture
 		// carry identical state; a crash mid-checkpoint leaves some workers
 		// one capture behind, and the per-worker StateRound clamp in
@@ -447,26 +402,22 @@ func NewNode(cfg Config) (*Node, error) {
 			}
 			return hi.Instance < hj.Instance
 		})
-		if n.stateManaged {
-			// Managed restore: load the freshest checkpoint state into the
-			// backend (nil state = no checkpoint yet: the backend starts
-			// empty) and re-deliver every replayed block; the replica's
-			// positions skip what the checkpoint covers.
-			var state []byte
-			if n.restoreBest != nil {
-				state = n.restoreBest.State
-			}
-			rep, err := statemachine.RestoreReplicaInto(n.cfg.State, state)
-			if err != nil {
-				return nil, fmt.Errorf("flo: state restore: %w", err)
-			}
-			for i := range blocks {
-				rep.Deliver(blocks[i].Signed.Header.Instance, blocks[i])
-			}
-			n.stateRep = rep
-		} else {
-			cfg.RestoreState(n.restoreBest.State, blocks)
+		// Load the freshest checkpoint state into the backend (nil state =
+		// no checkpoint yet: the backend starts empty) and re-deliver every
+		// replayed block; the replica's positions skip what the checkpoint
+		// covers.
+		var state []byte
+		if n.restoreBest != nil {
+			state = n.restoreBest.State
 		}
+		rep, err := statemachine.RestoreReplicaInto(n.cfg.State, state)
+		if err != nil {
+			return nil, fmt.Errorf("flo: state restore: %w", err)
+		}
+		for i := range blocks {
+			rep.Deliver(blocks[i].Signed.Header.Instance, blocks[i])
+		}
+		n.stateRep = rep
 		n.restoreBest, n.restoreBlocks, n.restoreFound = nil, nil, false
 	}
 	return n, nil
@@ -490,9 +441,9 @@ func (n *Node) maybeCheckpoint(w uint32, round uint64) {
 		return
 	}
 	var state []byte
-	stateful := n.cfg.SnapshotState != nil
+	stateful := n.stateRep != nil
 	if stateful {
-		state = n.cfg.SnapshotState()
+		state = n.stateRep.Snapshot()
 	}
 	for v, lg := range n.logs {
 		stateRound := uint64(0)
@@ -539,6 +490,10 @@ func (n *Node) latestSnapshot(w uint32) (store.Snapshot, bool) {
 // forward. A crash between the first two steps leaves a fresh snapshot over
 // an old log, which restart replay handles by skimming the pre-anchor frames.
 func (n *Node) installSnapshot(w uint32, snap store.Snapshot) error {
+	// A block that reached the merge point while the install held the fence
+	// below lost its TryLock and was left queued: emit it on the way out
+	// (deferred first, so it runs after both locks are released).
+	defer n.merger.drain()
 	n.installMu.Lock()
 	defer n.installMu.Unlock()
 	if int(w) >= len(n.workers) || snap.Instance != w {
@@ -598,9 +553,16 @@ func (n *Node) installSnapshot(w uint32, snap store.Snapshot) error {
 	if err := inst.AdoptSnapshot(snap.BaseRound, snap.BaseHash); err != nil {
 		return fmt.Errorf("flo: worker %d chain adopt: %w", w, err)
 	}
-	// Fence the merge point before announcing the install: pre-install
+	// Fence the merge point for the rest of the install: pre-install
 	// blocks of this worker still queued (or in flight to enqueue) must not
-	// surface after consumers learn the stream resumes at base+1.
+	// surface after consumers learn the stream resumes at base+1, and no
+	// post-install block may be delivered — to the replica or to any
+	// consumer — before the state reset and the install notification. A
+	// block at base+1 emitted in between would be applied on top of the
+	// stale state that Reset then discards, and would reach consumers
+	// before the notification that explains the jump.
+	n.merger.emitMu.Lock()
+	defer n.merger.emitMu.Unlock()
 	n.merger.advanceBase(w, snap.BaseRound)
 	if resetState {
 		if err := n.stateRep.Reset(snap.State); err != nil {
@@ -719,7 +681,7 @@ func (n *Node) addWorker(w uint32) error {
 		n.propLogs = append(n.propLogs, props)
 		if snap != nil {
 			preloadBase, preloadHash = snap.BaseRound, snap.BaseHash
-			if cfg.RestoreState != nil || n.stateManaged {
+			if n.stateRep != nil {
 				// Accumulate for the unified post-addWorker restore: the
 				// freshest capture wins; each worker contributes its
 				// replayed rounds above its own snapshot's StateRound
@@ -734,7 +696,7 @@ func (n *Node) addWorker(w uint32) error {
 					}
 				}
 			}
-		} else if n.stateManaged && len(replayed) > 0 {
+		} else if n.stateRep != nil && len(replayed) > 0 {
 			// No checkpoint for this worker yet (e.g. SnapshotEvery unset or
 			// first cycle incomplete): the managed replica still has to
 			// re-apply the whole replayed log to reach the boot frontier.
@@ -926,14 +888,18 @@ func (n *Node) Start() {
 	}
 }
 
-// Stop shuts the node down.
+// Stop shuts the node down. The OBBC services' stops (signal only) go out
+// before Stop waits on any worker: a worker's round loop can sit in OBBC's
+// evidence wait (after OB12), which only an abort or the OBBC service's own
+// stop ends, and an attempt that began just after the worker's stop signal
+// is never aborted.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
+		for _, o := range n.obbcs {
+			o.Stop() // signal only; never blocks
+		}
 		for _, w := range n.workers {
 			w.Stop()
-		}
-		for _, o := range n.obbcs {
-			o.Stop()
 		}
 		for _, rb := range n.rbs {
 			rb.Stop()
@@ -1113,7 +1079,7 @@ func (n *Node) StateWatch(ctx context.Context, key string, worker uint32, round 
 // drains every ready run in the global order; losers return immediately.
 type merger struct {
 	mu     sync.Mutex // guards queues, cursor, and floor
-	emitMu sync.Mutex // held by the single active emitter (TryLock only)
+	emitMu sync.Mutex // held by the single active emitter (TryLock), or by a snapshot install
 	queues [][]types.Block
 	cursor int // next worker to emit from
 	// floor[w] is worker w's snapshot-install base: rounds at or below it
@@ -1141,15 +1107,14 @@ func newMerger(workers int, deliver func(uint32, types.Block)) *merger {
 	}
 }
 
-// advanceBase fences the merge point for a snapshot install at base: every
+// advanceBase moves the merge point past a snapshot install at base: every
 // queued block of worker w at or below base is purged, later arrivals at or
 // below base are dropped at enqueue (floor), and the merged cursor jumps to
-// base. emitMu is taken first so an emitter mid-delivery finishes before the
-// fence — after advanceBase returns, no pre-install block of w can ever be
-// emitted, so the install notification the caller fires next is a true
-// linearization point in the merged stream.
+// base. The caller holds emitMu, so an emitter mid-delivery has finished
+// and no block is emitted until the caller's install is complete: no
+// pre-install block of w is ever emitted after the install, and the install
+// notification is a true linearization point in the merged stream.
 func (m *merger) advanceBase(w uint32, base uint64) {
-	m.emitMu.Lock()
 	m.mu.Lock()
 	if base > m.floor[w] {
 		m.floor[w] = base
@@ -1165,20 +1130,16 @@ func (m *merger) advanceBase(w uint32, base uint64) {
 	if base > m.lastDelivered[w] {
 		m.lastDelivered[w] = base
 	}
-	m.emitMu.Unlock()
 }
 
 // bump raises worker w's merged cursor to at least r after a snapshot
 // install: the installed state covers w through r, and a checkpoint taken
 // before w's first post-install delivery must not anchor its StateRound
-// below that. Takes emitMu to serialize with the active emitter (installs
-// are rare; the emitter is idle on a stranded node anyway).
+// below that. The caller holds emitMu (see advanceBase).
 func (m *merger) bump(w uint32, r uint64) {
-	m.emitMu.Lock()
 	if r > m.lastDelivered[w] {
 		m.lastDelivered[w] = r
 	}
-	m.emitMu.Unlock()
 }
 
 // enqueue returns worker w's OnDecide callback: append the block, then

@@ -6,6 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flcrypto"
+	"repro/internal/statemachine"
+	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -192,5 +196,71 @@ func TestMergerNonBlockingEnqueue(t *testing.T) {
 	}
 	if m.lastDelivered[0] != 1 || m.lastDelivered[1] != 1 {
 		t.Fatalf("merged cursor %v, want [1 1]", m.lastDelivered)
+	}
+}
+
+// TestInstallSnapshotFencesDelivery: a block that reaches the merge point
+// while a snapshot install is still in progress is delivered only once the
+// install is complete — after the state reset and after the install
+// notification — and is not left queued: the install emits it on its way
+// out. The notification enqueues the worker's next block itself, the
+// tightest form of the race between a resumed stream and the install note.
+func TestInstallSnapshotFencesDelivery(t *testing.T) {
+	const n, base = 4, 5
+	ks := flcrypto.MustGenerateKeySet(n, flcrypto.Ed25519)
+	net := transport.NewChanNetwork(transport.ChanConfig{N: n})
+	defer net.Close()
+	txBlock := func(round uint64) types.Block {
+		blk := mkBlock(0, round)
+		blk.Body.Txs = []types.Transaction{{Client: 1, Seq: round, Payload: []byte{byte(round)}}}
+		return blk
+	}
+	src := statemachine.NewReplica()
+	for r := uint64(1); r <= base; r++ {
+		src.Deliver(0, txBlock(r))
+	}
+
+	type delivery struct {
+		round     uint64
+		afterNote bool
+	}
+	var (
+		node     *Node
+		notified bool
+		got      []delivery
+	)
+	node, err := NewNode(Config{
+		Endpoint: net.Endpoint(0),
+		Registry: ks.Registry,
+		Priv:     ks.Privs[0],
+		DataDir:  t.TempDir(),
+		State:    statemachine.NewKV(),
+		Deliver: func(w uint32, blk types.Block) {
+			got = append(got, delivery{blk.Signed.Header.Round, notified})
+		},
+		OnSnapshotInstall: func(w uint32, b uint64) {
+			node.merger.enqueue(w)(txBlock(b + 1))
+			notified = true
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	snap := store.Snapshot{Instance: 0, BaseRound: base, StateRound: base, State: src.Snapshot()}
+	if err := node.installSnapshot(0, snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].round != base+1 {
+		t.Fatalf("deliveries %v, want exactly round %d", got, base+1)
+	}
+	if !got[0].afterNote {
+		t.Fatal("round after the install base was delivered before the install notification")
+	}
+	// One transaction per round: the installed state plus the fenced block,
+	// applied on top of the installed state rather than the discarded one.
+	rep := node.State()
+	if pos, applied := rep.Position(0), rep.KV().Applied(); pos != base+1 || applied != base+1 {
+		t.Fatalf("replica at position %d with %d txs applied, want %d and %d", pos, applied, base+1, base+1)
 	}
 }

@@ -1,6 +1,7 @@
 package flo
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -81,4 +82,57 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 	}
 	buf := make([]byte, 1<<20)
 	t.Fatalf("goroutines: %d before, %d after stop\n%s", before, after, buf[:runtime.Stack(buf, true)])
+}
+
+// TestStopWithWorkerInEvidenceWait: a node whose peers are silent drives
+// its worker's round through OBBC vote starvation into the OB12 evidence
+// wait, where no reply will ever come. Stop must still return promptly:
+// that wait ends only on an abort or on the OBBC service's own stop, so
+// teardown must not wait on the worker before signalling the services its
+// round loop may be parked in.
+func TestStopWithWorkerInEvidenceWait(t *testing.T) {
+	const n = 4
+	ks := flcrypto.MustGenerateKeySet(n, flcrypto.Ed25519)
+	net := transport.NewChanNetwork(transport.ChanConfig{N: n})
+	defer net.Close()
+	node, err := NewNode(Config{
+		Endpoint:     net.Endpoint(0), // peers 1..3 never start: silent
+		Registry:     ks.Registry,
+		Priv:         ks.Privs[0],
+		BatchSize:    10,
+		Saturate:     64,
+		InitialTimer: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Start()
+	inPropose := func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("internal/obbc.(*Service).Propose"))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !inPropose() {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never entered OBBC Propose")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// Entering the evidence wait is not observable from outside: it follows
+	// the fast path's vote starvation (starvedRetries·retryInterval = 3 s).
+	time.Sleep(3500 * time.Millisecond)
+	if !inPropose() {
+		t.Fatal("worker left OBBC Propose with every peer silent")
+	}
+	done := make(chan struct{})
+	go func() {
+		node.Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("Stop hung with a worker in the evidence wait\n%s", buf[:runtime.Stack(buf, true)])
+	}
 }

@@ -3,25 +3,31 @@ package flo
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/flcrypto"
 	"repro/internal/statemachine"
+	"repro/internal/store"
 	"repro/internal/transport"
-	"repro/internal/types"
 )
 
-// runSnapshotStateRestore runs the full checkpoint loop at a given ω: every
-// node applies the merged stream to a statemachine replica whose snapshot
-// rides in the worker checkpoints; the whole cluster is stopped and rebooted
-// from disk; the restored replicas (checkpoint + replayed-suffix re-delivery
-// + live deliveries) must converge to identical state at identical positions
-// — i.e. compaction loses no transactions and double-applies none, and at
-// ω>1 the merged stream resumes gap-free across every worker.
+// runSnapshotStateRestore checks the application state that rides in the
+// worker checkpoints at a given ω. Every node runs the in-memory backend;
+// after several checkpoint cycles the cluster is stopped and each worker's
+// snapshot file is opened directly. Each stored state must be one capture
+// taken at the merge point on a completed checkpoint cycle, must cover that
+// worker exactly through the snapshot's StateRound, and must hold exactly
+// the transactions its positions account for. The cluster is then rebooted
+// from disk, and each restored replica must start at or past every
+// worker's checkpoint with the same exact count before it delivers anything
+// new.
 func runSnapshotStateRestore(t *testing.T, workers int) {
-	const n = 4
+	const (
+		n             = 4
+		batch         = 4
+		snapshotEvery = 5
+	)
 	ks := flcrypto.MustGenerateKeySet(n, flcrypto.Ed25519)
 	dirs := make([]string, n)
 	for i := range dirs {
@@ -29,62 +35,36 @@ func runSnapshotStateRestore(t *testing.T, workers int) {
 	}
 
 	type world struct {
-		nodes    []*Node
-		replicas []*statemachine.Replica
-		net      *transport.ChanNetwork
+		nodes []*Node
+		net   *transport.ChanNetwork
 	}
-	var mu sync.Mutex // guards replicas during NewNode-time restore
-	boot := func() *world {
+	build := func() *world {
 		w := &world{net: transport.NewChanNetwork(transport.ChanConfig{N: n})}
-		w.replicas = make([]*statemachine.Replica, n)
 		for i := 0; i < n; i++ {
-			i := i
-			w.replicas[i] = statemachine.NewReplica()
 			node, err := NewNode(Config{
 				Endpoint:      w.net.Endpoint(flcrypto.NodeID(i)),
 				Registry:      ks.Registry,
 				Priv:          ks.Privs[i],
 				Workers:       workers,
-				BatchSize:     4,
+				BatchSize:     batch,
 				Saturate:      32,
 				DataDir:       dirs[i],
-				SnapshotEvery: 5,
+				SnapshotEvery: snapshotEvery,
 				CatchUpBatch:  8,
 				InitialTimer:  40 * time.Millisecond,
-				SnapshotState: func() []byte {
-					mu.Lock()
-					defer mu.Unlock()
-					return w.replicas[i].Snapshot()
-				},
-				RestoreState: func(state []byte, blocks []types.Block) {
-					rep, err := statemachine.RestoreReplica(state)
-					if err != nil {
-						t.Errorf("node %d: restore: %v", i, err)
-						return
-					}
-					for b := range blocks {
-						rep.Deliver(blocks[b].Signed.Header.Instance, blocks[b])
-					}
-					mu.Lock()
-					w.replicas[i] = rep
-					mu.Unlock()
-				},
-				Deliver: func(wk uint32, blk types.Block) {
-					mu.Lock()
-					rep := w.replicas[i]
-					mu.Unlock()
-					rep.Deliver(wk, blk)
-				},
+				State:         statemachine.NewKV(),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			w.nodes = append(w.nodes, node)
 		}
+		return w
+	}
+	start := func(w *world) {
 		for _, node := range w.nodes {
 			node.Start()
 		}
-		return w
 	}
 	stop := func(w *world) {
 		for _, node := range w.nodes {
@@ -92,14 +72,14 @@ func runSnapshotStateRestore(t *testing.T, workers int) {
 		}
 		w.net.Close()
 	}
-	waitDef := func(w *world, target uint64) {
+	waitPos := func(w *world, target uint64) {
 		t.Helper()
 		deadline := time.Now().Add(90 * time.Second)
 		for {
 			done := true
 			for _, node := range w.nodes {
 				for wk := 0; wk < workers; wk++ {
-					if node.Worker(wk).Chain().Definite() < target {
+					if node.State().Position(uint32(wk)) < target {
 						done = false
 						break
 					}
@@ -112,105 +92,90 @@ func runSnapshotStateRestore(t *testing.T, workers int) {
 				return
 			}
 			if time.Now().After(deadline) {
-				var state []string
-				for i, node := range w.nodes {
-					for wk := 0; wk < workers; wk++ {
-						m := node.Worker(wk).Metrics()
-						state = append(state, fmt.Sprintf("node%d/w%d base=%d def=%d tip=%d rreq=%d rblk=%d breq=%d",
-							i, wk, node.Worker(wk).Chain().Base(),
-							node.Worker(wk).Chain().Definite(), node.Worker(wk).Chain().Tip(),
-							m.CatchUpRangeReqs.Load(), m.CatchUpRangeBlocks.Load(), m.CatchUpBlockReqs.Load()))
-					}
-				}
-				t.Fatalf("stalled before definite %d: %v", target, state)
+				t.Fatalf("replicas stalled before position %d", target)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
+	// exactCount: every definite block under the saturating model carries
+	// exactly BatchSize transactions, so a replica whose per-worker
+	// positions sum to S must have applied exactly batch·S of them. A state
+	// captured while a block was half applied, a lost round or a
+	// double-applied round all break this count.
+	exactCount := func(what string, rep *statemachine.Replica) {
+		t.Helper()
+		var sum uint64
+		for wk := 0; wk < workers; wk++ {
+			sum += rep.Position(uint32(wk))
+		}
+		if got, want := rep.KV().Applied(), batch*sum; got != want {
+			t.Fatalf("%s: applied %d txs at summed position %d, want %d", what, got, sum, want)
+		}
+	}
 
-	// Session 1: enough rounds for several checkpoint cycles.
-	w := boot()
-	waitDef(w, 17)
+	// Session 1: several checkpoint cycles.
+	w := build()
+	start(w)
+	waitPos(w, 17)
 	stop(w)
 
-	// Session 2: reboot from compacted logs, keep finalizing.
-	w = boot()
+	snaps := make([][]store.Snapshot, n)
+	for i := 0; i < n; i++ {
+		for wk := 0; wk < workers; wk++ {
+			what := fmt.Sprintf("node %d worker %d checkpoint", i, wk)
+			s, ok, err := store.LoadSnapshot(filepath.Join(dirs[i], fmt.Sprintf("w%d.snap", wk)))
+			if err != nil || !ok {
+				t.Fatalf("%s: load: ok=%v err=%v", what, ok, err)
+			}
+			if s.StateRound == 0 || len(s.State) == 0 {
+				t.Fatalf("%s carries no application state (state round %d, %d bytes)", what, s.StateRound, len(s.State))
+			}
+			// The log is never compacted past the application checkpoint:
+			// every round the state does not cover stays replayable.
+			if s.BaseRound > s.StateRound {
+				t.Fatalf("%s: log base %d above state round %d", what, s.BaseRound, s.StateRound)
+			}
+			rep, err := statemachine.RestoreReplica(s.State)
+			if err != nil {
+				t.Fatalf("%s: restore: %v", what, err)
+			}
+			// The state covers this worker exactly through StateRound:
+			// restore re-applies precisely the rounds above it.
+			if pos := rep.Position(uint32(wk)); pos != s.StateRound {
+				t.Fatalf("%s: state at position %d, snapshot anchored at %d", what, pos, s.StateRound)
+			}
+			// One capture per completed merge cycle: the state's merged
+			// cursor is the last worker's block at a checkpoint round.
+			if cw, cr := rep.Cursor(); int(cw) != workers-1 || cr == 0 || cr%snapshotEvery != 0 {
+				t.Fatalf("%s: state captured at merged cursor (w%d, r%d), want the last worker at a multiple of %d",
+					what, cw, cr, snapshotEvery)
+			}
+			exactCount(what, rep)
+			snaps[i] = append(snaps[i], s)
+		}
+	}
+
+	// Session 2: reboot from the compacted logs. Before any new delivery
+	// the restored replica already covers every worker's checkpoint, and
+	// checkpoint plus replayed suffix applied each round exactly once.
+	w = build()
 	for i, node := range w.nodes {
+		rep := node.State()
 		for wk := 0; wk < workers; wk++ {
 			if node.Worker(wk).Chain().Base() == 0 {
 				t.Fatalf("node %d worker %d rebooted without a snapshot base", i, wk)
 			}
-		}
-	}
-	waitDef(w, 24)
-	// Merged delivery lags the per-worker definite frontier (round-robin
-	// skew + in-flight OnDecide), so wait on the replicas' applied positions
-	// directly before quiescing.
-	posDeadline := time.Now().Add(90 * time.Second)
-	for {
-		mu.Lock()
-		ok := true
-		for i := 0; i < n && ok; i++ {
-			for wk := 0; wk < workers; wk++ {
-				if w.replicas[i].Position(uint32(wk)) < 24 {
-					ok = false
-					break
-				}
+			if pos, sr := rep.Position(uint32(wk)), snaps[i][wk].StateRound; pos < sr {
+				t.Fatalf("node %d worker %d restored at position %d below its checkpoint %d", i, wk, pos, sr)
 			}
 		}
-		mu.Unlock()
-		if ok {
-			break
-		}
-		if time.Now().After(posDeadline) {
-			t.Fatal("merged delivery never reached position 24 on every worker")
-		}
-		time.Sleep(10 * time.Millisecond)
+		exactCount(fmt.Sprintf("node %d at reboot", i), rep)
 	}
+	start(w)
+	waitPos(w, 20)
 	stop(w) // quiesce: all deliveries done once Stop returns
-
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < n; i++ {
-		rep := w.replicas[i]
-		var sum uint64
-		for wk := 0; wk < workers; wk++ {
-			pos := rep.Position(uint32(wk))
-			if pos < 24 {
-				t.Fatalf("node %d replica stalled at position %d on worker %d", i, pos, wk)
-			}
-			sum += pos
-		}
-		// Every definite block under the saturating model carries exactly
-		// BatchSize transactions, so a replica whose per-worker positions sum
-		// to S must have applied exactly 4·S of them: a compaction gap
-		// (missed rounds on any worker) or an overlap (double-applied rounds)
-		// both break this count — the merged stream resumed gap-free.
-		if got, want := rep.KV().Applied(), 4*sum; got != want {
-			t.Fatalf("node %d applied %d txs at summed position %d, want %d", i, got, sum, want)
-		}
-		// The restored merged cursor kept advancing past the reboot.
-		if _, round := rep.Cursor(); round < 17 {
-			t.Fatalf("node %d merged cursor stuck at round %d after restart", i, round)
-		}
-	}
-	// Replicas at equal positions saw identical prefixes of the
-	// deterministic stream and must hold identical state.
-	samePositions := func(a, b *statemachine.Replica) bool {
-		for wk := 0; wk < workers; wk++ {
-			if a.Position(uint32(wk)) != b.Position(uint32(wk)) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if samePositions(w.replicas[i], w.replicas[j]) &&
-				w.replicas[i].KV().Hash() != w.replicas[j].KV().Hash() {
-				t.Fatalf("nodes %d and %d diverged at equal positions", i, j)
-			}
-		}
+	for i, node := range w.nodes {
+		exactCount(fmt.Sprintf("node %d after restart", i), node.State())
 	}
 }
 
@@ -218,10 +183,10 @@ func TestFLOSnapshotStateRestore(t *testing.T) {
 	runSnapshotStateRestore(t, 1)
 }
 
-// TestFLOSnapshotStateRestoreMultiWorker is the ω=4 restart round-trip: the
-// per-worker checkpoints share one state capture anchored at the merged
-// cursor, and a rebooted node must resume the interleaved stream with no
-// worker's rounds lost or double-applied.
+// TestFLOSnapshotStateRestoreMultiWorker is the ω=4 variant: the per-worker
+// checkpoints share one state capture anchored at the merged cursor, and
+// each worker's snapshot still names exactly the rounds restore must
+// re-apply for that worker.
 func TestFLOSnapshotStateRestoreMultiWorker(t *testing.T) {
 	runSnapshotStateRestore(t, 4)
 }

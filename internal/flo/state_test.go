@@ -13,11 +13,14 @@ import (
 	"repro/internal/transport"
 )
 
-// runManagedStateRestore is the Config.State counterpart of
-// runSnapshotStateRestore: the node owns the replica (snapshot capture at
-// the merge point, restore from checkpoint + replayed-suffix re-delivery),
-// and the test only opens backends. Half the cluster runs the map backend,
-// half the durable one — at equal positions their replica snapshots must be
+// runManagedStateRestore runs the full checkpoint loop at a given ω: the
+// node owns the replica (snapshot capture at the merge point, restore from
+// checkpoint + replayed-suffix re-delivery), and the test only opens
+// backends. The whole cluster is stopped and rebooted from disk; the
+// restored replicas must apply every transaction exactly once — compaction
+// loses none and double-applies none, and at ω>1 the merged stream resumes
+// gap-free across every worker. Half the cluster runs the map backend, half
+// the durable one — at equal positions their replica snapshots must be
 // byte-identical, which is exactly what lets a checkpoint written by one
 // backend restore into the other.
 func runManagedStateRestore(t *testing.T, workers int) {
@@ -128,10 +131,17 @@ func runManagedStateRestore(t *testing.T, workers int) {
 		for wk := 0; wk < workers; wk++ {
 			sum += rep.Position(uint32(wk))
 		}
-		// Every block under the saturating model carries exactly BatchSize
-		// transactions; a gap or double-apply across the reboot breaks this.
+		// Every definite block under the saturating model carries exactly
+		// BatchSize transactions, so a replica whose per-worker positions sum
+		// to S must have applied exactly 4·S of them: a compaction gap
+		// (missed rounds on any worker) or an overlap (double-applied rounds)
+		// both break this count — the merged stream resumed gap-free.
 		if got, want := rep.State().Applied(), 4*sum; got != want {
 			t.Fatalf("node %d applied %d txs at summed position %d, want %d", i, got, sum, want)
+		}
+		// The restored merged cursor kept advancing past the reboot.
+		if _, round := rep.Cursor(); round < 17 {
+			t.Fatalf("node %d merged cursor stuck at round %d after restart", i, round)
 		}
 	}
 	// Replica snapshots at equal positions are byte-identical across nodes —
@@ -177,25 +187,6 @@ func TestFLOManagedStateRestore(t *testing.T) {
 // no worker's rounds lost or double-applied.
 func TestFLOManagedStateRestoreMultiWorker(t *testing.T) {
 	runManagedStateRestore(t, 4)
-}
-
-// TestManagedStateConfigExclusive pins the Config contract: State and the
-// SnapshotState/RestoreState callbacks are mutually exclusive.
-func TestManagedStateConfigExclusive(t *testing.T) {
-	const n = 4
-	ks := flcrypto.MustGenerateKeySet(n, flcrypto.Ed25519)
-	net := transport.NewChanNetwork(transport.ChanConfig{N: n})
-	defer net.Close()
-	_, err := NewNode(Config{
-		Endpoint:      net.Endpoint(0),
-		Registry:      ks.Registry,
-		Priv:          ks.Privs[0],
-		State:         statemachine.NewKV(),
-		SnapshotState: func() []byte { return nil },
-	})
-	if err == nil {
-		t.Fatal("State + SnapshotState accepted")
-	}
 }
 
 // TestStateReadTokenValidation: a read token naming a worker the node does

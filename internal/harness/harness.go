@@ -285,26 +285,30 @@ func RunFLO(opts Options) Result {
 			correct = append(correct, i)
 		}
 		cfg := flo.Config{
-			Endpoint:           net.Endpoint(flcrypto.NodeID(i)),
-			Registry:           ks.Registry,
-			Priv:               ks.Privs[i],
-			Workers:            opts.Workers,
-			BatchSize:          opts.Batch,
-			Saturate:           opts.TxSize,
-			Equivocate:         byz,
-			EpochLen:           opts.EpochLen,
-			InitialTimer:       opts.InitialTimer,
-			MaxPending:         opts.MaxPending,
-			DisablePiggyback:   opts.DisablePiggyback,
-			FDThreshold:        opts.FDThreshold,
-			GossipBodies:       opts.GossipBodies,
-			GossipFanout:       opts.GossipFanout,
-			CompressBodies:     opts.CompressBodies,
-			CompressibleLoad:   opts.CompressibleLoad,
-			ExcludeConvicted:   opts.ExcludeConvicted,
-			SyncVerify:         opts.SyncVerify,
-			DisableBatchVerify: opts.DisableBatchVerify,
-			State:              openState(i),
+			Endpoint:         net.Endpoint(flcrypto.NodeID(i)),
+			Registry:         ks.Registry,
+			Priv:             ks.Privs[i],
+			Workers:          opts.Workers,
+			BatchSize:        opts.Batch,
+			Saturate:         opts.TxSize,
+			Equivocate:       byz,
+			EpochLen:         opts.EpochLen,
+			InitialTimer:     opts.InitialTimer,
+			MaxPending:       opts.MaxPending,
+			DisablePiggyback: opts.DisablePiggyback,
+			FDThreshold:      opts.FDThreshold,
+			GossipBodies:     opts.GossipBodies,
+			GossipFanout:     opts.GossipFanout,
+			CompressBodies:   opts.CompressBodies,
+			CompressibleLoad: opts.CompressibleLoad,
+			ExcludeConvicted: opts.ExcludeConvicted,
+			SyncVerify:       opts.SyncVerify,
+			State:            openState(i),
+		}
+		if opts.DisableBatchVerify && !opts.SyncVerify {
+			pool := flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{DisableBatch: true})
+			defer pool.Close() // runs after the deferred node stops below
+			cfg.VerifyPool = pool
 		}
 		if cfg.State != nil {
 			cfg.KVLoad = opts.StateKeys

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -246,6 +247,87 @@ func TestPBFTSuccessiveLeaderCrashes(t *testing.T) {
 	}
 	c.waitDelivered(rest, 4, 30*time.Second)
 	c.checkPrefixAgreement(rest)
+}
+
+// TestPBFTLostRequestRetransmitted: a request whose broadcast reached every
+// replica but the leader must still be ordered while other requests keep
+// the cluster busy. Their progress keeps postponing the leader-failure
+// timer, so no view change comes to the rescue; the replicas holding the
+// request have to re-send it.
+func TestPBFTLostRequestRetransmitted(t *testing.T) {
+	const n = 4
+	c := newTestCluster(t, n, nil)
+	if err := c.replicas[2].Submit([]byte("warmup")); err != nil {
+		t.Fatal(err)
+	}
+	c.waitDelivered(all(n), 1, 5*time.Second)
+
+	// Replica 1's request never reaches the view-0 leader.
+	c.net.SetLinkFilter(func(from, to flcrypto.NodeID) bool { return from == 1 && to == 0 })
+	if err := c.replicas[1].Submit([]byte("lost on the way")); err != nil {
+		t.Fatal(err)
+	}
+	c.net.SetLinkFilter(nil)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for k := 0; ; k++ {
+		c.mu.Lock()
+		ordered := false
+		for _, req := range c.delivered[1] {
+			ordered = ordered || req == "lost on the way"
+		}
+		c.mu.Unlock()
+		if ordered {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("request lost to the leader never ordered (%d other requests were)", k)
+		}
+		if err := c.replicas[2].Submit([]byte(fmt.Sprintf("busy-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	c.checkPrefixAgreement(all(n))
+}
+
+// dropLarge drops every message on one link above a size: in these tests
+// only a pre-prepare carrying a large request is that big.
+type dropLarge struct {
+	from, to flcrypto.NodeID
+	over     int
+}
+
+func (d dropLarge) FaultFor(from, to flcrypto.NodeID, size int) transport.Fault {
+	return transport.Fault{Drop: from == d.from && to == d.to && size > d.over}
+}
+
+// TestPBFTMissedPrePrepareFetched: a replica loses the pre-prepare of the
+// newest sequence but receives its 2f+1 commits. No later sequence commits
+// to reveal the gap, so the commit quorum alone must tell the replica it is
+// behind and start the certificate fetch. Otherwise the replica never
+// executes the request: its leader timer only starts view changes that
+// nobody joins.
+func TestPBFTMissedPrePrepareFetched(t *testing.T) {
+	const n = 4
+	c := newTestCluster(t, n, nil)
+	if err := c.replicas[2].Submit([]byte("warmup")); err != nil {
+		t.Fatal(err)
+	}
+	c.waitDelivered(all(n), 1, 5*time.Second)
+
+	const size = 4096
+	c.net.SetFaultInjector(dropLarge{from: 0, to: 3, over: size})
+	if err := c.replicas[1].Submit(bytes.Repeat([]byte("x"), size)); err != nil {
+		t.Fatal(err)
+	}
+	c.waitDelivered([]int{0, 1, 2}, 2, 5*time.Second)
+	if c.net.FaultDrops() == 0 {
+		t.Fatal("the pre-prepare to replica 3 was not dropped")
+	}
+	c.net.SetFaultInjector(nil)
+	c.waitDelivered(all(n), 2, 10*time.Second)
+	c.checkPrefixAgreement(all(n))
 }
 
 func TestPBFTLaggingReplicaCatchesUp(t *testing.T) {

@@ -150,7 +150,7 @@ type Replica struct {
 	nextSeq  uint64 // leader: next sequence to assign
 	lastExec uint64
 
-	pool      map[flcrypto.Hash][]byte // pending requests by digest
+	pool      map[flcrypto.Hash]*pooledReq // pending requests by digest
 	poolOrder []flcrypto.Hash
 	assigned  map[flcrypto.Hash]uint64 // request digest -> in-flight seq
 	reqSeen   map[flcrypto.Hash]bool   // executed requests (dedup)
@@ -174,7 +174,7 @@ func NewReplica(cfg Config) *Replica {
 		vcs:      make(map[uint64]map[flcrypto.NodeID]signedRaw),
 		entries:  make(map[uint64]*entry),
 		nextSeq:  1,
-		pool:     make(map[flcrypto.Hash][]byte),
+		pool:     make(map[flcrypto.Hash]*pooledReq),
 		assigned: make(map[flcrypto.Hash]uint64),
 		reqSeen:  make(map[flcrypto.Hash]bool),
 	}
@@ -207,6 +207,13 @@ func (r *Replica) Submit(req []byte) error {
 	body[0] = kindRequest
 	copy(body[1:], req)
 	return r.signAndBroadcast(body)
+}
+
+// pooledReq is a pending request and when this replica last broadcast it
+// (its arrival, until onTick re-sends it).
+type pooledReq struct {
+	req  []byte
+	sent time.Time
 }
 
 // onWire runs on the replica's transport mailbox goroutine: decode the
@@ -350,7 +357,7 @@ func (r *Replica) onRequest(req []byte) {
 	if _, ok := r.pool[digest]; ok {
 		return
 	}
-	r.pool[digest] = append([]byte(nil), req...)
+	r.pool[digest] = &pooledReq{req: append([]byte(nil), req...), sent: time.Now()}
 	r.poolOrder = append(r.poolOrder, digest)
 	r.armTimer()
 	r.tryPropose()
@@ -396,7 +403,7 @@ func (r *Replica) takeBatch() [][]byte {
 			kept = append(kept, r.poolOrder[i:]...)
 			break
 		}
-		req, ok := r.pool[digest]
+		p, ok := r.pool[digest]
 		if !ok || r.reqSeen[digest] {
 			continue
 		}
@@ -404,7 +411,7 @@ func (r *Replica) takeBatch() [][]byte {
 			kept = append(kept, digest)
 			continue
 		}
-		batch = append(batch, req)
+		batch = append(batch, p.req)
 		r.assigned[digest] = r.nextSeq
 		kept = append(kept, digest)
 	}
@@ -527,7 +534,26 @@ func (r *Replica) checkQuorums(en *entry) {
 			r.maxCommittedSeen = en.seq
 		}
 		r.execute()
+	} else if en.seq > r.maxCommittedSeen && anyQuorum(en.commits, 2*r.f+1) {
+		// 2f+1 signed commits prove the sequence committed at f+1 correct
+		// replicas even though this one never accepted its pre-prepare
+		// (lost, or rejected mid view change). Recording it arms the fetch
+		// in onTick; without it a replica that missed a pre-prepare while
+		// its peers moved on never learns it is behind, and the leader
+		// timer only starts view changes that nobody else joins.
+		r.maxCommittedSeen = en.seq
 	}
+}
+
+// anyQuorum reports whether some (view, digest) in votes has at least q
+// distinct signers.
+func anyQuorum(votes map[voteKey]map[flcrypto.NodeID]signedRaw, q int) bool {
+	for _, set := range votes {
+		if len(set) >= q {
+			return true
+		}
+	}
+	return false
 }
 
 // execute applies committed entries strictly in sequence order.
@@ -626,6 +652,40 @@ func (r *Replica) onTick() {
 	// pre-prepare but lost the commits would otherwise starve forever.
 	if r.maxCommittedSeen > r.lastExec && now.Sub(r.lastFetch) > 200*time.Millisecond {
 		r.fetchNext()
+	}
+	r.resendStale(now)
+}
+
+// resendStale re-broadcasts the oldest pending request this replica holds
+// unassigned, once it has waited a full timeout since it was last sent. A
+// request that reached some replicas but not the leader is otherwise never
+// proposed: the leader-failure timer only fires when nothing executes, and
+// other requests' progress keeps postponing it. The leader batches in
+// arrival order, so a lost request stays the oldest one here while later
+// ones are ordered past it; one resend per timeout keeps the cost
+// negligible when the oldest request is merely waiting for a full window.
+// Replicas dedup by digest. The pass also drops executed requests from
+// poolOrder here at a non-leader, where takeBatch never runs.
+func (r *Replica) resendStale(now time.Time) {
+	if r.leaderOf(r.view) == r.id {
+		return
+	}
+	kept := r.poolOrder[:0]
+	var oldest *pooledReq
+	for _, digest := range r.poolOrder {
+		p := r.pool[digest]
+		if p == nil {
+			continue // executed
+		}
+		kept = append(kept, digest)
+		if _, busy := r.assigned[digest]; !busy && oldest == nil {
+			oldest = p
+		}
+	}
+	r.poolOrder = kept
+	if oldest != nil && now.Sub(oldest.sent) >= r.timeout() {
+		oldest.sent = now
+		r.Submit(oldest.req)
 	}
 }
 

@@ -52,6 +52,10 @@ type Cluster struct {
 	states []*statemachine.Durable
 	// stateSeq numbers the runner's client KV submissions.
 	stateSeq uint64
+	// pools holds the verify pools built for scenarios with custom
+	// batch-fill pacing, one per node incarnation; closed after every node
+	// has stopped.
+	pools []*flcrypto.VerifyPool
 
 	dirs []string
 	logf func(format string, args ...any)
@@ -91,6 +95,11 @@ func Run(sc Scenario, opts RunOpts) error {
 		logf:           logf,
 	}
 	defer c.Net.Close()
+	defer func() { // registered before the node stops, so runs after them
+		for _, p := range c.pools {
+			p.Close()
+		}
+	}()
 	if sc.Persist {
 		c.dirs = make([]string, sc.N)
 		for i := range c.dirs {
@@ -208,8 +217,13 @@ func (c *Cluster) makeNode(i int, restart bool) (*flo.Node, error) {
 		},
 		SnapshotEvery:  sc.SnapshotEvery,
 		SnapChunkBytes: sc.SnapChunkBytes,
-		VerifyMinWait:  sc.VerifyMinWait,
-		VerifyMaxWait:  sc.VerifyMaxWait,
+	}
+	if sc.VerifyMinWait != 0 || sc.VerifyMaxWait != 0 {
+		cfg.VerifyPool = flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{
+			MinBatchWait: sc.VerifyMinWait,
+			MaxBatchWait: sc.VerifyMaxWait,
+		})
+		c.pools = append(c.pools, cfg.VerifyPool)
 	}
 	if sc.forger(i) {
 		// Every signature this node emits is corrupted in place: envelopes

@@ -357,8 +357,10 @@ func (e *chanEndpoint) enqueue(to flcrypto.NodeID, payload []byte, sendDone time
 }
 
 // deliverHead releases the oldest queued message on the link. Every send
-// schedules exactly one deliverHead, so counts match; taking the head keeps
-// the link FIFO regardless of timer callback scheduling order.
+// schedules exactly one deliverHead, so counts match; taking the head — and
+// handing it to the mailbox before the link lock is released — keeps the
+// link FIFO even when two timer callbacks run at once (mailbox puts never
+// block).
 func (e *chanEndpoint) deliverHead(to flcrypto.NodeID, lq *linkQueue) {
 	lq.mu.Lock()
 	if len(lq.queue) == 0 {
@@ -367,19 +369,20 @@ func (e *chanEndpoint) deliverHead(to flcrypto.NodeID, lq *linkQueue) {
 	}
 	msg := lq.queue[0]
 	lq.queue = lq.queue[1:]
-	lq.mu.Unlock()
 	// Re-check fault state at delivery time: messages in flight when a
 	// crash or partition is injected are dropped, like packets on a cut
 	// cable.
 	if e.net.linkBlocked(msg.From, to) {
+		lq.mu.Unlock()
 		return
-	}
-	if tr := e.net.cfg.Trace; tr != nil {
-		tr(TraceEvent{At: e.net.clock.Now(), From: msg.From, To: to, Payload: msg.Payload})
 	}
 	// Resolve the target at delivery time: a Reattach between send and
 	// delivery routes the message to the restarted node's fresh mailbox.
 	e.net.endpoint(to).mbox.put(msg)
+	lq.mu.Unlock()
+	if tr := e.net.cfg.Trace; tr != nil {
+		tr(TraceEvent{At: e.net.clock.Now(), From: msg.From, To: to, Payload: msg.Payload})
+	}
 }
 
 // Broadcast shares one payload slice across all n deliveries — no per-peer
